@@ -56,7 +56,7 @@ class ClusterMachine:
         return self.server.outstanding
 
     def has_replica(self, instance_name: str) -> bool:
-        return instance_name in self.server.instances
+        return self.server.has_instance(instance_name)
 
     def charge(self, cost: float) -> None:
         self.pending_cost += cost

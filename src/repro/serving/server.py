@@ -288,6 +288,10 @@ class InferenceServer:
     def instances(self) -> dict[str, ModelInstance]:
         return dict(self._instances)
 
+    def has_instance(self, instance_name: str) -> bool:
+        """Whether *instance_name* is deployed here (no dict copy)."""
+        return instance_name in self._instances
+
     def warm_capacity(self) -> int:
         """How many deployed instances fit resident simultaneously."""
         return self._prewarm(dry_run=True)

@@ -161,6 +161,10 @@ class ShardedReport:
     #: True when the process replay exhausted its restart budget and
     #: this report came from the opt-in serial rerun instead.
     serial_fallback: bool = False
+    #: Host wall seconds from the first worker spawn to the last
+    #: ``ready`` frame (0 on the serial backend).  Host timing, so it
+    #: stays out of :meth:`outcome_signature`.
+    boot_s: float = 0.0
 
     @property
     def completed(self) -> int:
@@ -204,6 +208,7 @@ class ShardedReport:
             "shards": float(self.num_shards),
             "worker_restarts": float(self.worker_restarts),
             "replayed_epochs": float(self.replayed_epochs),
+            "boot_s": self.boot_s,
         }
         if self.metrics.records:
             data.update(p99_ms=self.metrics.p99_latency / MS,
@@ -304,6 +309,10 @@ class _ProcessShard:
     :func:`~repro.shard.protocol.pack_outcome`); the low-rate
     ready/finish/stop control messages stay plain pickles.
 
+    Construction starts the worker without waiting for it, so the
+    coordinator can boot every shard concurrently; :meth:`wait_ready`
+    is the second step, under a deadline timed from this shard's spawn.
+
     Supervision: every receive is bounded by
     ``ShardConfig.worker_timeout`` measured from the worker's last frame
     — heartbeats acknowledging each epoch command keep the liveness
@@ -333,7 +342,7 @@ class _ProcessShard:
         self._eof = False
         self._last_signal = time.monotonic()
         try:
-            self._spawn(init)
+            self._start(init)
         except BaseException:
             # Partial construction must not leak the pipe fds or the
             # worker process: release everything before re-raising.
@@ -342,7 +351,8 @@ class _ProcessShard:
 
     # -- liveness and receive --------------------------------------------------------
 
-    def _spawn(self, init: WorkerInit) -> None:
+    def _start(self, init: WorkerInit) -> None:
+        """Spawn the worker process; do not wait for its ``ready``."""
         self._conn, child = self._context.Pipe()
         self._inbox.clear()
         self._eof = False
@@ -354,6 +364,15 @@ class _ProcessShard:
         finally:
             child.close()
         self._last_signal = time.monotonic()
+
+    def wait_ready(self) -> None:
+        """Block until the worker has built its shard.
+
+        The worker sends nothing before its ``ready`` (or error) frame,
+        so the liveness clock still reads the spawn time: the boot
+        deadline counts from this shard's own spawn, however long the
+        coordinator took to get here.
+        """
         self._recv("ready", extra_grace=_SPAWN_GRACE)
 
     def _pump(self) -> None:
@@ -515,7 +534,8 @@ class _ProcessShard:
             if backoff > 0:
                 time.sleep(backoff)
             try:
-                self._spawn(self._journal.respawn_init())
+                self._start(self._journal.respawn_init())
+                self.wait_ready()
                 self._fast_forward()
                 return
             except RECOVERABLE_FAULTS as next_fault:
@@ -783,9 +803,7 @@ class ShardedReplay:
             report = self._execute(requests, fault_schedule, "serial")
             return dataclasses.replace(report, serial_fallback=True)
 
-    def _execute(self, requests: typing.Sequence[Request],
-                 fault_schedule: typing.Sequence[FaultEvent],
-                 backend: str) -> ShardedReport:
+    def _broker(self, requests: typing.Sequence[Request]) -> EpochBroker:
         broker = EpochBroker(
             spec=self.spec, policy=self.config.policy,
             strategy=self.config.strategy,
@@ -797,20 +815,32 @@ class ShardedReplay:
             router_latency=self.shard.router_latency)
         for request in requests:
             broker.submit(request)
+        return broker
+
+    def _execute(self, requests: typing.Sequence[Request],
+                 fault_schedule: typing.Sequence[FaultEvent],
+                 backend: str) -> ShardedReport:
         inits = self._worker_inits(fault_schedule)
         # Build incrementally inside the try so a failure constructing
-        # shard k still stops (and releases the fds of) shards 0..k-1.
+        # or booting shard k still stops (and releases the fds of)
+        # every shard started so far.
         shards: list[typing.Any] = []
         try:
-            if backend == "process":
-                context = multiprocessing.get_context("spawn")
-                for init in inits:
-                    shards.append(_ProcessShard(init, context,
-                                                self.shard))
-            else:
-                for init in inits:
-                    shards.append(_SerialShard(init))
-            return self._drive(broker, shards, backend)
+            if backend != "process":
+                broker = self._broker(requests)
+                shards.extend(_SerialShard(init) for init in inits)
+                return self._drive(broker, shards, backend, boot_s=0.0)
+            # Start every worker first, build the broker while they
+            # boot, and only then wait for each one's ready frame.
+            context = multiprocessing.get_context("spawn")
+            boot_start = time.perf_counter()
+            for init in inits:
+                shards.append(_ProcessShard(init, context, self.shard))
+            broker = self._broker(requests)
+            for shard in shards:
+                shard.wait_ready()
+            boot_s = time.perf_counter() - boot_start
+            return self._drive(broker, shards, backend, boot_s)
         finally:
             for shard in shards:
                 shard.stop()
@@ -910,7 +940,7 @@ class ShardedReplay:
         return outcomes
 
     def _drive(self, broker: EpochBroker, shards: list[typing.Any],
-               backend: str) -> ShardedReport:
+               backend: str, boot_s: float) -> ShardedReport:
         pipelined = self.shard.pipelined
         epoch_length = self.shard.epoch_length
         completions: list[Completion] = []
@@ -996,7 +1026,8 @@ class ShardedReplay:
             num_shards=len(shards),
             backend=backend,
             worker_restarts=sum(s.restarts for s in shards),
-            replayed_epochs=sum(s.replayed_epochs for s in shards))
+            replayed_epochs=sum(s.replayed_epochs for s in shards),
+            boot_s=boot_s)
 
     @staticmethod
     def _check_histograms(metrics: MetricsCollector,

@@ -11,6 +11,7 @@ is the command journal: shard state is a pure function of
 replaying its journal fast-forwards it to the exact pre-crash boundary.
 """
 
+import dataclasses
 import os
 import signal
 import time
@@ -188,6 +189,51 @@ class TestFdHygieneUnderChaos:
             f"crash-and-respawn replays")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc (Linux)")
+class TestConcurrentBootFailure:
+    def test_failed_boot_stops_every_started_worker(self, monkeypatch):
+        """Workers boot concurrently, so shard 1 can fail while shard 0
+        is still building its machines.  The run must raise the typed
+        fault, leave no child alive and release every descriptor."""
+        scenario = random_scenario(3)
+        replay = build_replay(scenario, 2, backend="process",
+                              max_worker_restarts=0, **FAST)
+        good, bad = replay._worker_inits(scenario[3])
+        # A placement naming a model the zoo lacks: the broker never
+        # sees it, so only shard 1's worker fails, inside its boot.
+        bad = dataclasses.replace(bad, placements=(
+            (bad.machine_names[0], "ghost#0", "no-such-model"),
+        ) + bad.placements)
+        monkeypatch.setattr(replay, "_worker_inits",
+                            lambda schedule: [good, bad])
+        pids = []
+        start = _ProcessShard._start
+
+        def recording_start(shard, init):
+            start(shard, init)
+            pids.append(shard._process.pid)
+        monkeypatch.setattr(_ProcessShard, "_start", recording_start)
+
+        def failing_run():
+            with pytest.raises(WorkerInternalError) as info:
+                replay.run(scenario[2], fault_schedule=scenario[3])
+            assert info.value.shard_id == 1
+            assert info.value.exception_type == "KeyError"
+
+        failing_run()  # warm spawn machinery
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            failing_run()
+        after = len(os.listdir("/proc/self/fd"))
+        assert len(pids) == 8
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert after - before <= 2, (
+            f"failed boots leaked {after - before} fds over three runs")
+
+
 def _ignore_sigterm_entry(started) -> None:
     """Spawn target that masks SIGTERM and sleeps (a stuck child)."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
@@ -224,7 +270,13 @@ class TestErrorTypePreservation:
                               max_worker_restarts=0, **FAST)
         init = replay._worker_inits(())[0]
         context = multiprocessing.get_context("spawn")
-        return _ProcessShard(init, context, replay.shard)
+        shard = _ProcessShard(init, context, replay.shard)
+        try:
+            shard.wait_ready()
+        except BaseException:
+            shard.stop()
+            raise
+        return shard
 
     def test_workload_error_is_reraised_as_workload_error(self):
         shard = self._one_shard()

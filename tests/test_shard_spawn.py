@@ -12,10 +12,16 @@ bit-for-bit.  These tests pin that down at two levels:
   regenerates the exact fault schedule and Poisson arrival stream the
   parent built (the regression the per-machine
   :class:`~repro.cluster.faults.FaultInjector` refactor exists for).
+
+Spawn also means every worker pays its interpreter's imports at boot,
+so the last test pins that the worker module stays free of ``networkx``.
 """
 
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +176,17 @@ class TestInChildReconstruction:
     def test_distinct_seeds_give_distinct_streams(self):
         assert _child_fault_digest(1) != _child_fault_digest(2)
         assert _child_arrival_digest(1) != _child_arrival_digest(2)
+
+
+class TestLeanWorkerBoot:
+    def test_worker_import_does_not_load_networkx(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import sys, repro.shard.worker; "
+                 "assert 'networkx' not in sys.modules, 'networkx loaded'")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
