@@ -19,7 +19,7 @@ bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Wall-clock perf of the simulator itself (see docs/performance.md):
-# full probe suite, fast vs slow path, writes BENCH_perf.json.
+# full probe suite against the pre-change run, writes BENCH_perf.json.
 perf:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_simcore.py --emit-bench
 

@@ -1,4 +1,4 @@
-"""Wall-clock performance harness for the simulation fast path.
+"""Wall-clock performance harness for the simulator core.
 
 Unlike the ``bench_fig*`` modules (which reproduce the *paper's* numbers,
 i.e. simulated milliseconds), this harness measures how fast the
@@ -16,23 +16,22 @@ simulated traffic through the kernel.  Five probes:
   adaptive epochs, per-epoch reconciliation;
 * **fig13/fig15 runtime** — end-to-end wall time of reduced versions of
   the two serving benchmarks, together with their *simulated* outputs so
-  the fast path can be proven behavior-preserving.
+  a speed-up can be proven behavior-preserving.
 
 Modes (run as a script)::
 
     python benchmarks/bench_perf_simcore.py --measure -o out.json
         Run the probe suite on the current tree and dump raw metrics.
     python benchmarks/bench_perf_simcore.py --emit-bench
-        Run the suite with the fast path ON and OFF, compare simulated
-        outputs, fold in the checked-in pre-change measurement
-        (benchmarks/results/perf_prechange.json), and write BENCH_perf.json
-        at the repo root.
+        Run the suite, fold in the checked-in pre-change measurement
+        (benchmarks/results/perf_prechange.json) with its simulated-output
+        comparison, and write BENCH_perf.json at the repo root.
     python benchmarks/bench_perf_simcore.py --smoke --check
         Reduced workload; fail if events/sec regresses >30% against
         benchmarks/results/perf_baseline.json (the CI perf-smoke job).
 
 Under ``pytest benchmarks/`` the module contributes a smoke test that
-asserts the fast and slow paths produce identical simulated results.
+holds a 20 s fig15 slice's simulated results to pinned golden values.
 """
 
 from __future__ import annotations
@@ -67,11 +66,6 @@ from repro.shard import ShardConfig, ShardedReplay  # noqa: E402
 from repro.simkit import Simulator  # noqa: E402
 from repro.units import MS  # noqa: E402
 
-try:  # The fast-path switch lands with this harness; tolerate its absence
-    from repro import fastpath  # noqa: E402
-except ImportError:  # pragma: no cover - pre-change capture only
-    fastpath = None
-
 PRECHANGE_PATH = _HERE / "results" / "perf_prechange.json"
 BASELINE_PATH = _HERE / "results" / "perf_baseline.json"
 BENCH_PATH = _ROOT / "BENCH_perf.json"
@@ -83,6 +77,27 @@ SMOKE_REGRESSION_LIMIT = 0.30
 
 STRATEGIES = ("pipeswitch", "dha", "pt+dha")
 INSTANCE_MIX = (("bert-base", 64), ("roberta-base", 64), ("gpt2", 16))
+
+#: Simulated outputs of ``measure_fig15(duration=20.0)``, pinned from the
+#: tree that still carried the calendar-queue event core and the
+#: from-scratch fill: the smoke test holds every later tree to them.
+FIG15_SLICE_GOLDEN = {
+    "pipeswitch": {"completed": 3017, "cold_starts": 166,
+                   "p99_ms": 86.14367430163128,
+                   "goodput": 0.9956910838581372,
+                   "cold_start_rate": 0.05502154458070931,
+                   "latency_sum_s": 67.6105489428595},
+    "dha": {"completed": 3017, "cold_starts": 40,
+            "p99_ms": 58.80855710784005,
+            "goodput": 0.9993370898243288,
+            "cold_start_rate": 0.013258203513423931,
+            "latency_sum_s": 53.90989067818964},
+    "pt+dha": {"completed": 3017, "cold_starts": 40,
+               "p99_ms": 57.564226450381284,
+               "goodput": 0.9993370898243288,
+               "cold_start_rate": 0.013258203513423931,
+               "latency_sum_s": 53.047195314587924},
+}
 
 
 # -- probes -----------------------------------------------------------------
@@ -114,8 +129,8 @@ def measure_flow_churn(flows: int = 4000, concurrency: int = 16) -> dict:
     per_proc = flows // concurrency
 
     def churn(seed: int):
-        # Deterministic LCG so the schedule is identical across runs and
-        # across fast/slow paths without importing random.
+        # Deterministic LCG so the schedule is identical across runs
+        # without importing random.
         state = seed * 2654435761 % 2**32
         for _ in range(per_proc):
             state = (1103515245 * state + 12345) % 2**31
@@ -325,29 +340,29 @@ def _outputs_equal(a: dict, b: dict, rel_tol: float = 1e-9
     return bit_identical, within, diffs
 
 
-def compare_runs(fast: dict, other: dict, label: str) -> dict:
+def compare_runs(measured: dict, other: dict, label: str) -> dict:
     """Speedups + simulated-output identity between two suite runs."""
     result: dict = {"against": label, "speedup": {}, "identity": {}}
     for probe, metric in (("event_churn", "events_per_sec"),
                           ("flow_churn", "flows_per_sec"),
                           ("shard_replay", "requests_per_sec")):
-        if probe in fast and probe in other:
-            result["speedup"][metric] = (fast[probe][metric]
+        if probe in measured and probe in other:
+            result["speedup"][metric] = (measured[probe][metric]
                                          / other[probe][metric])
-    if "plan_throughput" in fast and "plan_throughput" in other:
+    if "plan_throughput" in measured and "plan_throughput" in other:
         plans = result["speedup"]
         plans["cold_plans_per_sec"] = (
-            fast["plan_throughput"]["cold_plans_per_sec"]
+            measured["plan_throughput"]["cold_plans_per_sec"]
             / other["plan_throughput"]["cold_plans_per_sec"])
         plans["repeat_plans_per_sec"] = (
-            fast["plan_throughput"]["repeat_plans_per_sec"]
+            measured["plan_throughput"]["repeat_plans_per_sec"]
             / other["plan_throughput"]["repeat_plans_per_sec"])
     for figure in ("fig15", "fig13"):
-        if figure not in fast or figure not in other:
+        if figure not in measured or figure not in other:
             continue
         result["speedup"][figure] = (other[figure]["wall_s"]
-                                     / fast[figure]["wall_s"])
-        bit, within, diffs = _outputs_equal(fast[figure]["outputs"],
+                                     / measured[figure]["wall_s"])
+        bit, within, diffs = _outputs_equal(measured[figure]["outputs"],
                                             other[figure]["outputs"])
         result["identity"][figure] = {
             "bit_identical": bit,
@@ -358,36 +373,25 @@ def compare_runs(fast: dict, other: dict, label: str) -> dict:
 
 
 def emit_bench(smoke: bool = False) -> dict:
-    """Fast vs slow vs checked-in pre-change; writes BENCH_perf.json."""
-    if fastpath is None:
-        raise SystemExit("--emit-bench requires the fast-path build "
-                         "(repro.fastpath is missing)")
-    print("== fast path ==")
-    fast = run_suite(smoke=smoke)
-    print(json.dumps({k: v for k, v in fast.items() if k != "scale"},
+    """This tree vs the checked-in pre-change run; writes BENCH_perf.json."""
+    measured = run_suite(smoke=smoke)
+    print(json.dumps({k: v for k, v in measured.items() if k != "scale"},
                      indent=2, default=str)[:2000])
-    print("== slow path (fast path disabled) ==")
-    with fastpath.forced(False):
-        slow = run_suite(smoke=smoke)
     payload: dict = {
         "generated_by": "benchmarks/bench_perf_simcore.py --emit-bench",
-        "scale": fast["scale"],
-        "fast": fast,
-        "slow_path": slow,
-        "comparison_vs_slow_path": compare_runs(fast, slow, "slow_path"),
+        "scale": measured["scale"],
+        "measured": measured,
     }
     if PRECHANGE_PATH.exists():
         prechange = json.loads(PRECHANGE_PATH.read_text())
         payload["prechange"] = prechange
         payload["comparison_vs_prechange"] = compare_runs(
-            fast, prechange, "prechange (measured on the pre-change tree, "
-            "same machine)")
+            measured, prechange,
+            "prechange (measured on the pre-change tree, same machine)")
         payload["speedup"] = payload["comparison_vs_prechange"]["speedup"]
-    else:  # pragma: no cover - prechange capture missing
-        payload["speedup"] = payload["comparison_vs_slow_path"]["speedup"]
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {BENCH_PATH}")
-    print("speedups:", json.dumps(payload["speedup"], indent=2))
+    print("speedups:", json.dumps(payload.get("speedup"), indent=2))
     return payload
 
 
@@ -429,26 +433,15 @@ def check_baseline(measured: dict, baseline_path: pathlib.Path) -> None:
 
 
 def test_perf_simcore_smoke(benchmark, emit):
-    """Fast and slow paths must produce identical simulated results."""
+    """A 20 s fig15 slice must reproduce the pinned simulated results."""
     from conftest import run_once
 
-    def run():
-        fast = measure_fig15(duration=20.0)
-        if fastpath is not None:
-            with fastpath.forced(False):
-                slow = measure_fig15(duration=20.0)
-        else:  # pragma: no cover - pre-change tree
-            slow = fast
-        return fast, slow
-
-    fast, slow = run_once(benchmark, run)
-    bit, within, diffs = _outputs_equal(fast["outputs"], slow["outputs"])
-    lines = [f"fig15 20s slice: fast {fast['wall_s']:.2f}s "
-             f"slow {slow['wall_s']:.2f}s "
-             f"speedup {slow['wall_s'] / fast['wall_s']:.2f}x",
-             f"bit identical: {bit}; within 1e-9: {within}"]
+    run = run_once(benchmark, lambda: measure_fig15(duration=20.0))
+    bit, within, diffs = _outputs_equal(run["outputs"], FIG15_SLICE_GOLDEN)
+    lines = [f"fig15 20s slice: {run['wall_s']:.2f}s wall",
+             f"bit identical to golden: {bit}; within 1e-9: {within}"]
     emit("perf_simcore_smoke", "\n".join(lines))
-    assert within, f"fast path changed simulated results: {diffs}"
+    assert within, f"simulated results drifted from the golden: {diffs}"
 
 
 # -- CLI --------------------------------------------------------------------
@@ -459,7 +452,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--measure", action="store_true",
                         help="run the probe suite on the current tree")
     parser.add_argument("--emit-bench", action="store_true",
-                        help="fast-vs-slow comparison; writes BENCH_perf.json")
+                        help="full suite vs the pre-change run; writes "
+                             "BENCH_perf.json")
     parser.add_argument("--smoke", action="store_true",
                         help="reduced workloads (CI)")
     parser.add_argument("--check", action="store_true",

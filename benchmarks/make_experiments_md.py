@@ -289,11 +289,11 @@ else above is out-of-sample behaviour of the calibrated model.
 ## Wall-clock performance
 
 The numbers above are *simulated* milliseconds; how long the simulator
-itself takes to produce them is a separate question. The simulation fast
-path (incremental fair-share rebalancing, Algorithm-1 memoization, plan
-caching — see `docs/performance.md`) runs the Figure 15 trace replay
-~3.2× faster than the pre-change tree with bit-identical simulated
-outputs. `make perf` reproduces the measurement and writes
+itself takes to produce them is a separate question. The optimised
+simulator core (incremental fair-share rebalancing, Algorithm-1
+memoization, plan caching — see `docs/performance.md`) runs the Figure 15
+trace replay ~3.2× faster than the pre-change tree with bit-identical
+simulated outputs. `make perf` reproduces the measurement and writes
 `BENCH_perf.json`; CI's perf-smoke job guards against regressions.
 """
 

@@ -90,17 +90,12 @@ def resolve_plan_cache(plan_cache: "PlanCache | None | bool"
                        ) -> PlanCache | None:
     """Normalize a ``DeepPlan(plan_cache=...)`` argument.
 
-    ``None`` means "default": a private cache when the fast path is on,
-    no cache otherwise.  ``False`` disables caching explicitly; ``True``
-    forces a private cache; a :class:`PlanCache` instance is used as-is
-    (the sharing idiom).
+    ``None`` (the default) and ``True`` give a private cache; ``False``
+    disables caching; a :class:`PlanCache` instance is used as-is (the
+    sharing idiom).
     """
-    from repro import fastpath
-
-    if plan_cache is None:
-        return PlanCache() if fastpath.enabled() else None
+    if plan_cache is None or plan_cache is True:
+        return PlanCache()
     if plan_cache is False:
         return None
-    if plan_cache is True:
-        return PlanCache()
     return typing.cast(PlanCache, plan_cache)

@@ -8,8 +8,9 @@ a layer's load from the load stream lets every subsequent load start
 earlier (paper Figures 7 and 8).
 
 The paper's Step 4 ("UpdatePipelineExecutionFrom") re-profiles the
-pipeline once a stall is eliminated; this implementation recomputes the
-full timeline from the decision vector before examining each layer,
+pipeline once a stall is eliminated; this implementation re-derives
+the timeline from the decision vector before examining each layer (from
+the first changed layer on, see :class:`~repro.core.stall.TimelineMemo`),
 which is the same fixed point computed more simply.
 
 :func:`initial_approach` implements the strawman the paper contrasts in
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import typing
 
-from repro import fastpath
 from repro.core.plan import ExecMethod, Partition
 from repro.core.stall import Timeline, TimelineMemo, compute_timeline
 from repro.models.costs import LayerCosts
@@ -84,27 +84,15 @@ class LayerExecutionPlanner:
 
     # -- the algorithm -----------------------------------------------------------
 
-    def plan(self, memoize: bool | None = None) -> list[ExecMethod]:
+    def plan(self) -> list[ExecMethod]:
         """Run Algorithm 1 and return the final decision vector.
 
-        ``memoize`` selects the memoized timeline (default: the fast-path
-        setting).  The reference path recomputes the full timeline before
-        each layer; the memoized path restores the pipeline clocks at the
-        first layer a conversion changed and re-accumulates only the
-        suffix — same arithmetic, same order, bit-identical decisions.
+        The pipeline timeline is memoized: after a conversion, the
+        pipeline clocks are restored at the first layer it changed and
+        only the suffix is re-accumulated — the arithmetic and order of
+        a full recomputation, so the decisions are bit-identical to it.
         """
-        if memoize is None:
-            memoize = fastpath.enabled()
         decisions = self.all_loaded()
-        if not memoize:
-            for i in range(len(self.costs)):
-                timeline = self._timeline(decisions)
-                stall = timeline.stall_of(i)
-                if stall <= 0:
-                    continue
-                self._reduce_stall(i, stall, decisions)
-            return decisions
-
         memo = TimelineMemo(self.costs, decisions, self.partitions,
                             self.nvlink_time)
         for i in range(len(self.costs)):

@@ -13,25 +13,18 @@ Rates are recomputed with the classic progressive-filling (water-filling)
 algorithm, which yields the unique max-min fair allocation.  The
 allocation decomposes exactly over connected components of the
 flow/link contention graph (two flows interact only if a chain of shared
-links connects them), which enables the incremental fast path: when a
-flow starts or finishes, only its connected component is refilled; rates
-elsewhere are provably unchanged.  Wake-ups that change no membership at
-all (milestone crossings, completions of flows that shared no link) skip
-the fill entirely.
+links connects them), so when a flow starts or finishes only its
+connected component is refilled; rates elsewhere are provably unchanged.
+Wake-ups that change no membership at all (milestone crossings,
+completions of flows that shared no link) skip the fill entirely.
 
-The fast path runs the fill as a flat-array kernel: links and flows are
-numbered with component-local integers, the flow×link incidence is a
-CSR-style index list, and each water-filling iteration freezes a whole
-bottleneck group at once.  Components at or above ``_VEC_MIN_FLOWS``
-flows run the same kernel vectorized in numpy (``np.add.at`` /
-``np.subtract.at`` apply their updates sequentially in index order, so
-the float evaluation order — and therefore every bit of every rate — is
-identical to the scalar kernel and to the reference fill).
-``REPRO_SLOW_PATH=1`` (see :mod:`repro.fastpath`) refills every
-component from scratch with the original dict-based arithmetic instead —
-same per-component evaluation order, so all paths produce bit-identical
-rates — and :meth:`FlowNetwork.reference_fair_rates` exposes the
-original whole-network progressive filling for differential testing.
+The fill runs as a flat-array kernel: links and flows are numbered with
+component-local integers, the flow×link incidence is an index list, and
+each water-filling iteration freezes a whole bottleneck group at once.
+Components are filled in ascending flow id, which fixes the float
+evaluation order; ``tests/oracles/links.py`` keeps the original
+dict-based progressive filling as the reference the differential tests
+hold these rates to, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,13 +34,7 @@ import math
 import operator
 import typing
 
-from repro import fastpath
 from repro.simkit.events import Event
-
-try:  # numpy powers the vectorized kernel; everything degrades to the
-    import numpy as _np  # scalar flat-array kernel without it.
-except ImportError:  # pragma: no cover - numpy is a hard dep elsewhere
-    _np = None
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simkit.sim import Simulator
@@ -60,17 +47,6 @@ _EPSILON_BYTES = 1e-3
 _INF = float("inf")
 
 _flow_id = operator.attrgetter("id")
-
-#: Component size at which the water-filling kernel switches from the
-#: flat scalar loops to the numpy group kernel.  Below this, numpy's
-#: per-call overhead on tiny arrays costs more than it saves; both
-#: kernels perform the identical float operations in the identical
-#: order, so the switch is invisible to simulated results.
-_VEC_MIN_FLOWS = 40
-
-#: Active-flow count at which the post-fill completion/milestone wait
-#: scan runs as one vectorized min-reduction instead of a Python loop.
-_VEC_MIN_SCAN = 64
 
 #: Fill-memo capacity (entries).  The memo is cleared, not evicted, when
 #: it fills: component shapes in steady-state serving cycle through a
@@ -155,8 +131,7 @@ class Flow:
 class FlowNetwork:
     """Manages active flows and keeps their fair-share rates current."""
 
-    def __init__(self, sim: "Simulator",
-                 incremental: bool | None = None) -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         #: Active flows in start order (dict-as-ordered-set: deterministic
         #: iteration, unlike a plain set keyed on object ids).
@@ -170,14 +145,10 @@ class FlowNetwork:
         self._milestoned: dict[Flow, None] = {}
         self._last_settle = sim.now
         self._timer_token = 0
-        if incremental is None:
-            incremental = fastpath.enabled()
-        self._incremental = incremental
-        self._vectorized = incremental and _np is not None
         #: Path-class census -> per-class rates memo, and the path ->
-        #: class-id intern table backing it (see :meth:`_fill`).  Hits
-        #: are bit-identical replays of an earlier fill of the same
-        #: component shape.
+        #: class-id intern table backing it (see
+        #: :meth:`_fill_component`).  Hits are bit-identical replays of
+        #: an earlier fill of the same component shape.
         self._fill_memo: dict[tuple, dict[int, float]] = {}
         self._path_class: dict[tuple[Link, ...], int] = {}
         #: Optional audit hook (see :mod:`repro.audit`).  When set, it
@@ -270,8 +241,7 @@ class FlowNetwork:
 
         Progress is credited at the old rates up to "now", then every
         in-flight flow crossing the link has its fair share recomputed —
-        the degraded (or restored) capacity takes effect immediately, on
-        both the incremental fast path and the from-scratch slow path.
+        the degraded (or restored) capacity takes effect immediately.
         A no-op when the capacity is unchanged or the link is idle.
         """
         if bandwidth <= 0:
@@ -287,18 +257,6 @@ class FlowNetwork:
         if not flows:
             return
         self._rebalance(changed=sorted(flows, key=_flow_id))
-
-    def reference_fair_rates(self) -> dict[Flow, float]:
-        """Whole-network progressive filling, without touching flow state.
-
-        The original from-scratch reference implementation: one global
-        fill over every active flow, no component decomposition.  Returns
-        the would-be rate per flow; differential tests compare this
-        against the incremental allocator's assignments.
-        """
-        rates: dict[Flow, float] = {}
-        self._fill_reference(sorted(self._active, key=_flow_id), rates)
-        return rates
 
     # -- internals --------------------------------------------------------------
 
@@ -359,9 +317,9 @@ class FlowNetwork:
         """Recompute fair rates where needed and re-arm the wake-up timer.
 
         The timer fires at the earliest flow completion *or* milestone
-        crossing, whichever comes first.  On the fast path only the
-        connected component(s) touched by *started*, *changed* (flows on a
-        link whose capacity just moved) and just-completed flows are
+        crossing, whichever comes first.  Only the connected
+        component(s) touched by *started*, *changed* (flows on a link
+        whose capacity just moved) and just-completed flows are
         refilled; a wake-up that changes no component membership (a pure
         milestone crossing, or completions of flows that shared no link
         with a survivor) leaves every rate untouched.
@@ -399,9 +357,7 @@ class FlowNetwork:
                 self.observer.on_rates_assigned(self)
             return
 
-        if not self._incremental:
-            self._fill_all_components()
-        elif started is not None and not completed and not changed:
+        if started is not None and not completed and not changed:
             # A flow just started and nothing finished: its component
             # seeds the fill, and when its links carry nothing else the
             # component is the flow alone — no walk, no sort.
@@ -411,7 +367,7 @@ class FlowNetwork:
                     self._fill_component(self._component_of((started,)))
                     break
             else:
-                self._fill((started,))
+                self._fill(started)
         elif seeds:
             self._fill_component(self._component_of(seeds))
         # else: nothing started or finished (milestone-only wake-up) —
@@ -419,44 +375,29 @@ class FlowNetwork:
         if self.observer is not None:
             self.observer.on_rates_assigned(self)
         token = self._timer_token
-        # _bytes_to_next_event over every active flow, batched: the wait
-        # is the min over flows of bytes-to-next-event / rate.  Large
-        # active sets take one vectorized min-reduction; small ones (the
-        # common case) run an inlined loop — most flows carry no
-        # milestones, so each is a pair of attribute loads and a divide.
-        if self._vectorized and len(active) >= _VEC_MIN_SCAN \
-                and not self._milestoned:
-            count = len(active)
-            rates = _np.fromiter(
-                (f.rate for f in active), dtype=float, count=count)
-            nbytes = _np.fromiter(
-                (f.remaining for f in active), dtype=float, count=count)
-            live = rates > 0.0
-            if not live.any():
-                return
-            wait = float(_np.min(nbytes[live] / rates[live]))
-        else:
-            wait = _INF
-            for flow in active:
-                rate = flow.rate
-                if rate <= 0.0:
-                    continue
-                nbytes = flow.remaining
-                milestones = flow.milestones
-                if flow._next_milestone < len(milestones):
-                    to_milestone = (milestones[flow._next_milestone][0]
-                                    - (flow.nbytes - flow.remaining))
-                    if to_milestone < nbytes:
-                        nbytes = to_milestone
-                candidate = nbytes / rate
-                if candidate < wait:
-                    wait = candidate
-            if wait == _INF:
-                # Every active flow is rate-starved (e.g. links drained
-                # to a zero residual by float-exhausted allocations);
-                # rates will be reassigned when another flow starts or
-                # finishes.
-                return
+        # The wait is the min over flows of bytes-to-next-event / rate,
+        # inlined: most flows carry no milestones, so each is a pair of
+        # attribute loads and a divide.
+        wait = _INF
+        for flow in active:
+            rate = flow.rate
+            if rate <= 0.0:
+                continue
+            nbytes = flow.remaining
+            milestones = flow.milestones
+            if flow._next_milestone < len(milestones):
+                to_milestone = (milestones[flow._next_milestone][0]
+                                - (flow.nbytes - flow.remaining))
+                if to_milestone < nbytes:
+                    nbytes = to_milestone
+            candidate = nbytes / rate
+            if candidate < wait:
+                wait = candidate
+        if wait == _INF:
+            # Every active flow is rate-starved (e.g. links drained to a
+            # zero residual by float-exhausted allocations); rates will
+            # be reassigned when another flow starts or finishes.
+            return
         sim = self.sim
         if wait <= 0.0:
             sim._ripe.append(
@@ -472,19 +413,6 @@ class FlowNetwork:
                 # and therefore settled progress, actually advances.
                 wait = math.ulp(now)
             sim._schedule_callback(lambda: self._on_timer(token), wait)
-
-    @staticmethod
-    def _bytes_to_next_event(flow: Flow) -> float:
-        """Bytes until *flow* completes or crosses its next milestone.
-
-        A pending milestone distance of ``0.0`` is a real target (the
-        milestone sits exactly at the current progress offset), so it must
-        not be collapsed into "no milestone" by truthiness.
-        """
-        to_milestone = flow.next_milestone_bytes()
-        if to_milestone is None:
-            return flow.remaining
-        return min(flow.remaining, to_milestone)
 
     def _component_of(self, seeds: typing.Iterable[Flow]) -> set[Flow]:
         """Active flows connected to *seeds* through chains of shared links.
@@ -515,51 +443,35 @@ class FlowNetwork:
                     pending.extend(flow.path)
         return component
 
-    def _fill_all_components(self) -> None:
-        """From-scratch refill of every component (the slow path).
-
-        Each component is filled independently with the same arithmetic
-        the incremental path uses, so slow- and fast-path runs produce
-        bit-identical rates.
-        """
-        visited: set[Flow] = set()
-        for flow in self._active:
-            if flow in visited:
-                continue
-            component = self._component_of((flow,))
-            visited |= component
-            self._fill(sorted(component, key=_flow_id))
-
-    # -- the water-filling kernels ------------------------------------------------
-    #
-    # Three implementations of weighted progressive filling share one
-    # float evaluation order, which makes their outputs bit-identical:
-    #
-    # * _fill_reference — the original dict-bookkeeping loop, kept as the
-    #   executable spec (reference_fair_rates, REPRO_SLOW_PATH=1);
-    # * _fill_small — the same algorithm over flat arrays indexed by
-    #   component-local integers (fast path, small components);
-    # * _fill_vec — the flat-array kernel vectorized in numpy, freezing
-    #   whole bottleneck groups per iteration (fast path, components of
-    #   _VEC_MIN_FLOWS flows or more).
+    # -- the water-filling kernel ------------------------------------------------
     #
     # The order contract: flows are visited in ascending flow id; a
     # frozen flow's rate is subtracted from its path links in path
     # order; per-link load/count bookkeeping follows the same sequence.
-    # numpy's add.at/subtract.at apply duplicate-index updates
-    # sequentially in index order, which is exactly that contract.
+    # The reference fill in tests/oracles/links.py follows it too, which
+    # makes the two bit-identical.
 
     def _fill_component(self, component: set[Flow]) -> None:
         """Fill one connected component given as an *unordered* set.
 
-        The census pass is order-independent — class counts and the
-        uniformity check read each flow exactly once, and a memo hit
-        assigns one rate per class — so the ascending-id sort that the
-        kernels require is deferred until a kernel actually has to run
-        (a memo miss, a non-uniform component, or the reference path).
+        Uniform components — every flow the same weight, nobody capped,
+        the overwhelmingly common shape in serving replays — allocate
+        per *path class*: flows with equal paths are interchangeable in
+        the fill (equal weights make every load sum and every freeze
+        subtraction an identical float regardless of flow order), so the
+        allocation is a pure function of the path-class census.  The
+        census is the memo key; a hit replays a previous fill of the
+        same census, skipping the kernel entirely.  The census pass is
+        order-independent, so the ascending-id sort the kernel requires
+        is deferred until it actually has to run.  The memo is cleared
+        whenever a link capacity changes (see :meth:`set_link_bandwidth`),
+        which keeps capacities out of the key on the hot path.
         """
-        if len(component) < 2 or not self._incremental:
-            self._fill(sorted(component, key=_flow_id))
+        if len(component) < 2:
+            # Empty when every seed completed and took its neighbours
+            # with it: nothing left to allocate.
+            for flow in component:
+                self._fill(flow)
             return
         path_class = self._path_class
         census: dict[int, int] = {}
@@ -574,88 +486,16 @@ class FlowNetwork:
             pairs.append((flow, cls))
             census[cls] = census.get(cls, 0) + 1
         else:
-            rates = self._fill_memo.get(
-                (weight, tuple(sorted(census.items()))))
-            if rates is not None:
-                for flow, cls in pairs:
-                    flow.rate = rates[cls]
-                return
-        self._fill(sorted(component, key=_flow_id))
-
-    def _fill(self, ordered: typing.Sequence[Flow]) -> None:
-        """Weighted progressive filling over *ordered* (a closed flow set).
-
-        Freezes flows at bottlenecks: each unfrozen flow receives
-        ``weight * share`` where ``share`` is the per-unit-weight
-        allocation of its tightest link; flows capped below their fair
-        share free the remainder for the rest.  *ordered* must be closed
-        under link sharing (a union of connected components) and sorted
-        by flow id, which fixes the float evaluation order.  Writes
-        rates to ``flow.rate``.
-        """
-        n = len(ordered)
-        if n == 0:
-            # Every seed completed and took its neighbours with it;
-            # nothing left to allocate.
-            return
-        if n == 1:
-            # A lone flow (its links carry nothing else — the usual case
-            # for a warm DHA read on an uncontended lane) gets the
-            # per-unit-weight share of its tightest link, capped.  The
-            # arithmetic is the general loop's first iteration verbatim
-            # (``0.0 + weight`` is exact), so the shortcut is
-            # bit-identical.
-            flow = ordered[0]
-            weight = flow.weight
-            rate = _INF
-            for link in flow.path:
-                share = link.bandwidth / weight
-                if share < rate:
-                    rate = share
-            rate = weight * rate
-            if flow.max_rate is not None and flow.max_rate <= rate:
-                rate = flow.max_rate
-            flow.rate = rate
-            return
-        if not self._incremental:
-            self._fill_reference(ordered)
-            return
-        # Uniform components — every flow the same weight, nobody capped,
-        # the overwhelmingly common shape in serving replays — allocate
-        # per *path class*: flows with equal paths are interchangeable in
-        # the fill (equal weights make every load sum and every freeze
-        # subtraction an identical float regardless of flow order), so
-        # the allocation is a pure function of the path-class census.
-        # The census is the memo key; a hit replays a previous fill of
-        # the same census, skipping the kernel entirely.  The memo is
-        # cleared whenever a link capacity changes (see
-        # :meth:`set_link_bandwidth`), which keeps capacities out of the
-        # key on the hot path.
-        path_class = self._path_class
-        classes: list[int] = []
-        census: dict[int, int] = {}
-        weight = ordered[0].weight
-        uniform = True
-        for flow in ordered:
-            if flow.weight != weight or flow.max_rate is not None:
-                uniform = False
-                break
-            cls = path_class.get(flow.path)
-            if cls is None:
-                cls = path_class[flow.path] = len(path_class)
-            classes.append(cls)
-            census[cls] = census.get(cls, 0) + 1
-        if uniform:
             key = (weight, tuple(sorted(census.items())))
             memo = self._fill_memo
             rates = memo.get(key)
             if rates is not None:
-                for flow, cls in zip(ordered, classes):
+                for flow, cls in pairs:
                     flow.rate = rates[cls]
                 return
-            self._run_fill_kernel(ordered, n)
+            self._run_fill_kernel(sorted(component, key=_flow_id))
             value: dict[int, float] = {}
-            for flow, cls in zip(ordered, classes):
+            for flow, cls in pairs:
                 rate = value.setdefault(cls, flow.rate)
                 if rate != flow.rate:  # pragma: no cover - guards the
                     return  # per-class-rate invariant; never memo a lie
@@ -663,11 +503,36 @@ class FlowNetwork:
                 memo.clear()
             memo[key] = value
             return
-        self._run_fill_kernel(ordered, n)
+        self._run_fill_kernel(sorted(component, key=_flow_id))
 
-    def _run_fill_kernel(self, ordered: typing.Sequence[Flow],
-                         n: int) -> None:
-        """Build the flat component tables and run the matching kernel."""
+    @staticmethod
+    def _fill(flow: Flow) -> None:
+        """Rate of a flow alone in its component, in closed form.
+
+        A lone flow (its links carry nothing else — the usual case for a
+        warm DHA read on an uncontended lane) gets the per-unit-weight
+        share of its tightest link, capped.  The arithmetic is the
+        general fill's first iteration verbatim (``0.0 + weight`` is
+        exact), so the shortcut is bit-identical.
+        """
+        weight = flow.weight
+        rate = _INF
+        for link in flow.path:
+            share = link.bandwidth / weight
+            if share < rate:
+                rate = share
+        rate = weight * rate
+        if flow.max_rate is not None and flow.max_rate <= rate:
+            rate = flow.max_rate
+        flow.rate = rate
+
+    def _run_fill_kernel(self, ordered: typing.Sequence[Flow]) -> None:
+        """Build the flat component tables and run :meth:`_fill_small`.
+
+        *ordered* must be closed under link sharing (a union of connected
+        components) and sorted by flow id, which fixes the float
+        evaluation order.  Writes rates to ``flow.rate``.
+        """
         link_ids: dict[Link, int] = {}
         bands: list[float] = []
         links_of: list[tuple[int, ...]] = []
@@ -688,10 +553,7 @@ class FlowNetwork:
             links_of.append(tuple(ids))
             weights.append(flow.weight)
             caps.append(cap)
-        if self._vectorized and n >= _VEC_MIN_FLOWS:
-            self._fill_vec(ordered, bands, links_of, weights, caps, any_cap)
-        else:
-            self._fill_small(ordered, bands, links_of, weights, caps, any_cap)
+        self._fill_small(ordered, bands, links_of, weights, caps, any_cap)
 
     def _fill_small(self, ordered: typing.Sequence[Flow],
                     bands: list[float],
@@ -767,170 +629,6 @@ class FlowNetwork:
                         c = count[j] - 1
                         count[j] = c
                         load[j] = load[j] - weight if c else 0.0
-
-    def _fill_vec(self, ordered: typing.Sequence[Flow],
-                  bands: list[float],
-                  links_of: list[tuple[int, ...]],
-                  weights_in: list[float],
-                  caps_in: list[float | None],
-                  any_cap: bool) -> None:
-        """Vectorized progressive filling for large components.
-
-        The flow×link incidence is CSR-style index arrays; every
-        water-filling iteration computes all link shares at once and
-        freezes the whole bottleneck (or capped) group with
-        ``np.subtract.at``, whose sequential duplicate-index semantics
-        reproduce the scalar kernel's float evaluation order exactly.
-        """
-        np = _np
-        n = len(ordered)
-        m = len(bands)
-        weights = np.asarray(weights_in)
-        caps = np.array([_INF if c is None else c for c in caps_in])
-        residual = np.asarray(bands)
-        flows_ix = np.repeat(np.arange(n, dtype=np.intp),
-                             [len(ids) for ids in links_of])
-        links_ix = np.fromiter((j for ids in links_of for j in ids),
-                               dtype=np.intp, count=len(flows_ix))
-        inc_weight = weights[flows_ix]
-        load = np.zeros(m)
-        np.add.at(load, links_ix, inc_weight)
-        count = np.bincount(links_ix, minlength=m)
-        rates = np.empty(n)
-        unfrozen = np.ones(n, dtype=bool)
-        left = n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while left:
-                contested = count > 0
-                shares = np.where(contested, residual / load, _INF)
-                share = shares.min()
-                if any_cap:
-                    capped = unfrozen & (caps <= weights * share)
-                    if capped.any():
-                        group = np.nonzero(capped)[0]
-                        group_rates = caps[group]
-                        left -= self._freeze_group(
-                            np, group, group_rates, rates, unfrozen,
-                            flows_ix, links_ix, inc_weight,
-                            residual, load, count, m)
-                        continue
-                bottleneck = shares.argmin()
-                group = flows_ix[links_ix == bottleneck]
-                group = group[unfrozen[group]]
-                group_rates = weights[group] * share
-                left -= self._freeze_group(
-                    np, group, group_rates, rates, unfrozen,
-                    flows_ix, links_ix, inc_weight,
-                    residual, load, count, m)
-        for i, rate in enumerate(rates.tolist()):
-            ordered[i].rate = rate
-
-    @staticmethod
-    def _freeze_group(np, group, group_rates, rates, unfrozen,
-                      flows_ix, links_ix, inc_weight,
-                      residual, load, count, m) -> int:
-        """Freeze *group* (ascending flow indices) at *group_rates*.
-
-        Interleaving note: the scalar kernel clamps each link residual at
-        zero after every single subtraction; doing all of a group's
-        subtractions first (sequentially, via ``subtract.at``) and
-        clamping once is bit-identical because rates are non-negative —
-        once a residual would clamp, every later value in the chain
-        clamps to the same zero.  Likewise the scalar kernel zeroes a
-        link's load the moment its unfrozen count hits zero, which can
-        only happen on the group's last crossing flow — so subtracting
-        all group weights and then zeroing drained links matches.
-        """
-        rates[group] = group_rates
-        unfrozen[group] = False
-        member = np.zeros(len(rates), dtype=bool)
-        member[group] = True
-        rows = member[flows_ix]
-        rows_links = links_ix[rows]
-        np.subtract.at(residual, rows_links, rates[flows_ix[rows]])
-        np.maximum(residual, 0.0, out=residual)
-        count -= np.bincount(rows_links, minlength=m)
-        np.subtract.at(load, rows_links, inc_weight[rows])
-        load[count == 0] = 0.0
-        return int(len(group))
-
-    def _fill_reference(self, ordered: typing.Sequence[Flow],
-                        into: dict[Flow, float] | None = None) -> None:
-        """The original dict-bookkeeping progressive filling.
-
-        Kept verbatim as the executable specification: it backs
-        :meth:`reference_fair_rates` and the ``REPRO_SLOW_PATH=1``
-        from-scratch path the differential sweeps compare against.
-        Writes rates to ``flow.rate``, or into *into* when given
-        (reference mode).
-        """
-        if len(ordered) == 1:
-            flow = ordered[0]
-            weight = flow.weight
-            rate = _INF
-            for link in flow.path:
-                share = link.bandwidth / weight
-                if share < rate:
-                    rate = share
-            rate = weight * rate
-            if flow.max_rate is not None and flow.max_rate <= rate:
-                rate = flow.max_rate
-            if into is None:
-                flow.rate = rate
-            else:
-                into[flow] = rate
-            return
-        residual: dict[Link, float] = {}
-        load: dict[Link, float] = {}
-        # Unfrozen-flow count per link.  The "link still contested" test
-        # must use this integer, not ``load > 0``: fractional weights
-        # (e.g. 0.4) leave float residue when subtracted back out, and a
-        # drained link with residual load but no unfrozen flows would be
-        # picked as a bottleneck that no iteration can freeze — an
-        # infinite loop.
-        count: dict[Link, int] = {}
-        for flow in ordered:
-            for link in flow.path:
-                residual.setdefault(link, link.bandwidth)
-                load[link] = load.get(link, 0.0) + flow.weight
-                count[link] = count.get(link, 0) + 1
-
-        unfrozen = dict.fromkeys(ordered)
-        while unfrozen:
-            # The next bottleneck is the smallest per-unit-weight share,
-            # considering links and per-flow rate caps.
-            share = min(residual[link] / load[link]
-                        for link in residual if count[link] > 0)
-            capped = [f for f in unfrozen
-                      if f.max_rate is not None
-                      and f.max_rate <= f.weight * share]
-            if capped:
-                # Freeze capped flows at their own limit first; their unused
-                # share is redistributed on the next iteration.
-                for flow in capped:
-                    self._freeze(flow, typing.cast(float, flow.max_rate),
-                                 unfrozen, residual, load, count, into)
-                continue
-            bottleneck = min((link for link in residual if count[link] > 0),
-                             key=lambda link: residual[link] / load[link])
-            for flow in [f for f in unfrozen if bottleneck in f.path]:
-                self._freeze(flow, flow.weight * share, unfrozen, residual,
-                             load, count, into)
-
-    @staticmethod
-    def _freeze(flow: Flow, rate: float, unfrozen: dict[Flow, None],
-                residual: dict[Link, float], load: dict[Link, float],
-                count: dict[Link, int],
-                into: dict[Flow, float] | None = None) -> None:
-        if into is None:
-            flow.rate = rate
-        else:
-            into[flow] = rate
-        del unfrozen[flow]
-        for link in flow.path:
-            residual[link] = max(0.0, residual[link] - rate)
-            count[link] -= 1
-            load[link] = load[link] - flow.weight if count[link] else 0.0
 
     def _on_timer(self, token: int) -> None:
         if token != self._timer_token:

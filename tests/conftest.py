@@ -20,8 +20,11 @@ SEED_FIXTURES = {
     "bandwidth_seed": (5, 30),
     "cluster_seed": (3, 15),
     # Differential check of the incremental fair-share allocator against
-    # the from-scratch reference fill (test_fastpath_differential.py).
+    # the reference fills in tests/oracles (test_fastpath_differential.py).
     "flow_seed": (30, 200),
+    # Production event loop vs the non-fused heap reference over random
+    # process programs (test_simkit_event_order.py).
+    "event_seed": (30, 200),
     # Conservation under mixed machine/GPU/link fault schedules (the
     # issue's 200-seed device-fault sweep; full count nightly).
     "device_fault_seed": (3, 200),

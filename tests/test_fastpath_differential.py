@@ -1,19 +1,23 @@
-"""Differential tests for the simulation fast path.
+"""Differential tests of the simulator's fast paths against test oracles.
 
-The fast path (incremental fair-share rebalancing in
-:mod:`repro.simkit.links`, the memoized Algorithm-1 timeline in
-:mod:`repro.core.stall`) exists purely to cut wall-clock time; these
-tests pin its defining property — same results as the reference
-implementations, to the bit where the issue demands it.
+The production fair-share allocator (incremental component refills, a
+flat-array kernel and a path-class memo in :mod:`repro.simkit.links`)
+and Algorithm 1 (the memoized timeline in :mod:`repro.core.stall`)
+exist in one optimised form; these tests pin their defining property —
+same results as the reference implementations in ``tests/oracles/``, to
+the bit where the arithmetic is shared.
 
 * ``TestIncrementalFairShare`` replays seeded random flow topologies and,
-  at every rate assignment, compares the incremental allocator's rates
-  against :meth:`FlowNetwork.reference_fair_rates` (the original
-  whole-network progressive filling).  ``--full-seeds`` sweeps 200
-  topologies; the default runs the quick subset.
-* ``TestTimelineMemoEquivalence`` runs Algorithm 1 with and without the
-  memoized timeline over seeded random cost tables and requires
-  identical decisions and bit-identical latency predictions.
+  at every rate assignment, compares the allocator's rates against
+  :func:`~tests.oracles.links.reference_fair_rates` (the original
+  whole-network progressive filling) and, exactly, against
+  :func:`~tests.oracles.links.component_refill` (every component
+  refilled from scratch).  ``--full-seeds`` sweeps 200 topologies; the
+  default runs the quick subset.
+* ``TestTimelineMemoEquivalence`` runs Algorithm 1 with the memoized
+  timeline and with :func:`~tests.oracles.planner.reference_plan` over
+  seeded random cost tables and requires identical decisions and
+  bit-identical latency predictions.
 """
 
 import random
@@ -26,6 +30,8 @@ from repro.core.stall import TimelineMemo, compute_timeline
 from repro.models.costs import LayerCosts
 from repro.models.layers import LayerKind
 from repro.simkit import FlowNetwork, Link, Simulator
+from tests.oracles.links import component_refill, reference_fair_rates
+from tests.oracles.planner import reference_plan
 
 REL_TOL = 1e-9
 
@@ -45,7 +51,7 @@ class _RateAuditor:
         pass
 
     def on_rates_assigned(self, network: FlowNetwork) -> None:
-        reference = network.reference_fair_rates()
+        reference = reference_fair_rates(network)
         assert set(reference) == set(network.active_flows)
         for flow, expected in reference.items():
             error = abs(flow.rate - expected)
@@ -98,73 +104,33 @@ class TestIncrementalFairShare:
         assert auditor.worst <= REL_TOL * 25e9
 
     def test_slow_path_env_produces_same_rates(self, flow_seed):
-        """The from-scratch slow path re-fills every component on every
-        change; rates it assigns must match the incremental ones."""
+        """The from-scratch refill of every component (the former slow
+        path, now :func:`~tests.oracles.links.component_refill`) must
+        reproduce every rate the incremental allocator assigns, exactly."""
         if flow_seed >= 10:  # a spot check, not a second full sweep
             pytest.skip("slow-path cross-check runs on the first seeds")
-
-        def collect(incremental: bool) -> list[tuple[int, float]]:
-            rng = random.Random(0xF10 + flow_seed)
-            sim = Simulator()
-            network = FlowNetwork(sim, incremental=incremental)
-            observed: list[tuple[int, float]] = []
-            # Flow ids count globally across networks; number the flows
-            # per run so the two traces are comparable.
-            local: dict[int, int] = {}
-
-            class Recorder:
-                def on_flow_started(self, flow) -> None:
-                    local[flow.id] = len(local)
-
-                def on_flow_completed(self, flow) -> None:
-                    observed.append((local[flow.id], sim.now))
-
-                def on_rates_assigned(self, net) -> None:
-                    observed.extend(sorted(
-                        (local[f.id], f.rate) for f in net.active_flows))
-
-            network.observer = Recorder()
-            links = _random_topology(rng)
-            for k in range(rng.randint(2, 6)):
-                sim.process(
-                    _driver(sim, network, links,
-                            random.Random(flow_seed * 1000 + k),
-                            transfers=rng.randint(3, 10)),
-                    name=f"driver{k}")
-            sim.run()
-            return observed
-
-        assert collect(incremental=True) == collect(incremental=False)
-
-
-class TestVectorizedKernel:
-    """The numpy kernel (``_fill_vec``) against the reference fill.
-
-    Real serving components rarely reach ``_VEC_MIN_FLOWS`` flows, so the
-    seeded sweep above exercises the scalar kernel almost exclusively;
-    these tests force the vectorized path explicitly.
-    """
-
-    def test_forced_vectorized_kernel_matches_reference(self, flow_seed,
-                                                        monkeypatch):
-        """The seeded differential sweep with the dispatch threshold
-        dropped to 2: every multi-flow component runs the numpy kernel."""
-        import repro.simkit.links as links_module
-
-        monkeypatch.setattr(links_module, "_VEC_MIN_FLOWS", 2)
-        calls = []
-        original = FlowNetwork._fill_vec
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(FlowNetwork, "_fill_vec", counting)
         rng = random.Random(0xF10 + flow_seed)
         sim = Simulator()
-        network = FlowNetwork(sim, incremental=True)
-        auditor = _RateAuditor(network)
-        network.observer = auditor
+        network = FlowNetwork(sim)
+        assignments = []
+
+        class Recorder:
+            def on_flow_started(self, flow) -> None:
+                pass
+
+            def on_flow_completed(self, flow) -> None:
+                pass
+
+            def on_rates_assigned(self, net) -> None:
+                expected = component_refill(net)
+                assert set(expected) == set(net.active_flows)
+                for flow, rate in expected.items():
+                    assert flow.rate == rate, (
+                        f"flow {flow.id} rate {flow.rate!r} != from-scratch "
+                        f"component refill {rate!r}")
+                assignments.append(len(expected))
+
+        network.observer = Recorder()
         links = _random_topology(rng)
         for k in range(rng.randint(2, 6)):
             sim.process(
@@ -174,16 +140,17 @@ class TestVectorizedKernel:
                 name=f"driver{k}")
         sim.run()
         assert not network.active_flows
-        assert auditor.comparisons > 0
-        assert calls, "the vectorized kernel never ran"
+        assert any(assignments)
 
+
+class TestLargeComponent:
     def test_large_component_matches_reference(self):
-        """A component big enough to cross ``_VEC_MIN_FLOWS`` naturally,
-        with mixed weights and caps so the non-uniform (memo-bypassing)
-        kernel path runs on every rebalance."""
+        """A 64-flow component, with mixed weights and caps so the
+        non-uniform (memo-bypassing) kernel path runs on every
+        rebalance."""
         rng = random.Random(0xB16)
         sim = Simulator()
-        network = FlowNetwork(sim, incremental=True)
+        network = FlowNetwork(sim)
         auditor = _RateAuditor(network)
         network.observer = auditor
         lanes = [Link(f"lane{i}", rng.uniform(4e9, 16e9)) for i in range(8)]
@@ -233,8 +200,8 @@ class TestTimelineMemoEquivalence:
         costs = _random_costs(rng, rng.randint(2, 24))
         partitions, nvlink = self._partitions(rng, len(costs))
         planner = LayerExecutionPlanner(costs, partitions, nvlink)
-        memoized = planner.plan(memoize=True)
-        reference = planner.plan(memoize=False)
+        memoized = planner.plan()
+        reference = reference_plan(planner)
         assert memoized == reference
         # Same decisions must mean bit-identical predicted timings too.
         fast = TimelineMemo(costs, memoized, partitions, nvlink)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import fastpath
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import DeepPlan
 from repro.core.plan_cache import PlanCache, plan_cache_key, resolve_plan_cache
@@ -19,10 +18,10 @@ def bert():
 
 
 class TestResolvePlanCache:
-    def test_default_follows_fastpath_switch(self):
-        assert isinstance(resolve_plan_cache(None), PlanCache)
-        with fastpath.forced(False):
-            assert resolve_plan_cache(None) is None
+    def test_default_is_a_private_cache(self):
+        default = resolve_plan_cache(None)
+        assert isinstance(default, PlanCache)
+        assert resolve_plan_cache(None) is not default
 
     def test_explicit_arguments(self):
         assert resolve_plan_cache(False) is None

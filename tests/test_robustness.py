@@ -2,8 +2,8 @@
 
 Covers the robustness layer end to end:
 
-* runtime link-capacity changes in the flow network (fast and slow path
-  agree, in-flight flows rebalance);
+* runtime link-capacity changes in the flow network (in-flight flows
+  rebalance, to the rates a from-scratch refill gives);
 * the machine-level device fault API (GPU fail/recover, link
   degrade/restore) and its interaction with peer selection;
 * precomputed degraded fallback plans (planner, cache upgrade,
@@ -40,6 +40,7 @@ from repro.models import build_model
 from repro.serving import InferenceServer, PoissonWorkload, Request, ServerConfig
 from repro.simkit import FlowNetwork, Link, Simulator
 from repro.units import MS
+from tests.oracles.links import component_refill
 
 
 @pytest.fixture(scope="module")
@@ -118,39 +119,51 @@ class TestLinkCapacityChanges:
             network.set_link_bandwidth(link, 0.0)
 
     def test_incremental_matches_slow_path_under_capacity_changes(self):
-        """Seeded random traffic with interleaved capacity changes must
-        complete identically on the incremental and from-scratch paths."""
+        """Seeded random traffic with interleaved capacity changes: at
+        every rate assignment, the incremental rates must equal the
+        from-scratch refill of every component (the former slow path,
+        now :func:`~tests.oracles.links.component_refill`) exactly."""
+        rng = random.Random(0xCAFE)
+        sim = Simulator()
+        network = FlowNetwork(sim)
+        links = [Link(f"l{i}", rng.uniform(2e9, 20e9)) for i in range(4)]
+        nominal = [link.bandwidth for link in links]
+        assignments = []
 
-        def run(incremental):
-            rng = random.Random(0xCAFE)
-            sim = Simulator()
-            network = FlowNetwork(sim, incremental=incremental)
-            links = [Link(f"l{i}", rng.uniform(2e9, 20e9)) for i in range(4)]
-            nominal = [link.bandwidth for link in links]
-            completions = []
+        class Recorder:
+            def on_flow_started(self, flow):
+                pass
 
-            def traffic():
-                for _ in range(12):
-                    path = rng.sample(links, rng.randint(1, 2))
-                    done = network.transfer(path, rng.uniform(1e8, 2e9))
-                    done.add_callback(
-                        lambda event: completions.append(sim.now))
-                    yield sim.timeout(rng.uniform(0.0, 0.05))
+            def on_flow_completed(self, flow):
+                pass
 
-            def chaos():
-                for _ in range(8):
-                    yield sim.timeout(rng.uniform(0.01, 0.05))
-                    k = rng.randrange(len(links))
-                    network.set_link_bandwidth(
-                        links[k], nominal[k] * rng.uniform(0.1, 1.0))
+            def on_rates_assigned(self, net):
+                expected = component_refill(net)
+                assert set(expected) == set(net.active_flows)
+                for flow, rate in expected.items():
+                    assert flow.rate == rate
+                assignments.append(len(expected))
 
-            sim.process(traffic(), name="traffic")
-            sim.process(chaos(), name="chaos")
-            sim.run()
-            assert not network.active_flows
-            return completions
+        network.observer = Recorder()
 
-        assert run(incremental=True) == run(incremental=False)
+        def traffic():
+            for _ in range(12):
+                path = rng.sample(links, rng.randint(1, 2))
+                network.transfer(path, rng.uniform(1e8, 2e9))
+                yield sim.timeout(rng.uniform(0.0, 0.05))
+
+        def chaos():
+            for _ in range(8):
+                yield sim.timeout(rng.uniform(0.01, 0.05))
+                k = rng.randrange(len(links))
+                network.set_link_bandwidth(
+                    links[k], nominal[k] * rng.uniform(0.1, 1.0))
+
+        sim.process(traffic(), name="traffic")
+        sim.process(chaos(), name="chaos")
+        sim.run()
+        assert not network.active_flows
+        assert sum(assignments) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -208,10 +208,7 @@ class TestRebalanceRobustness:
         timer for; the rebalance simply waits for the next flow start or
         finish.
         """
-        # Incremental explicitly: the from-scratch slow path recomputes
-        # every rate on every wake-up, so the hand-zeroed rate below
-        # would simply be repaired there.
-        network = FlowNetwork(sim, incremental=True)
+        network = FlowNetwork(sim)
         link = Link("link0", 100.0)
         starved = network.transfer([link], 500.0)
         (flow,) = network.active_flows
